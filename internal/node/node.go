@@ -55,6 +55,11 @@ type Config struct {
 	// reference per-tuple dispatch instead (differential testing and
 	// benchmarking; output is byte-identical either way).
 	PerTuple bool
+	// TapOnly marks a node whose output streams are read only through
+	// the local OnDeliver tap, as a client's proxy is: it keeps no output
+	// buffers, so nothing is retained for replay, and a subscribe or ack
+	// for one of its streams is ignored like one for an unknown stream.
+	TapOnly bool
 }
 
 // Node is one DPC processing node: engine + data path + input managers +
@@ -151,6 +156,9 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 	for _, out := range d.Outputs() {
 		stream := out.Stream
 		n.outOrder = append(n.outOrder, stream)
+		if cfg.TapOnly {
+			continue
+		}
 		n.outputs[stream] = NewOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream])
 	}
 	sort.Strings(n.outOrder)
@@ -181,7 +189,7 @@ func (n *Node) ReconcileDurations() []int64 { return n.reconDurations }
 // Input returns the manager of an input stream.
 func (n *Node) Input(stream string) *InputManager { return n.inputs[stream] }
 
-// Output returns the buffer of an output stream.
+// Output returns the buffer of an output stream (nil on a TapOnly node).
 func (n *Node) Output(stream string) *OutputBuffer { return n.outputs[stream] }
 
 // FailedInputs returns the currently failed input streams, sorted.
@@ -665,7 +673,9 @@ func (n *Node) Restart() {
 		n.inputs[stream].Reset()
 	}
 	for _, stream := range n.outOrder {
-		n.outputs[stream].Reset()
+		if ob := n.outputs[stream]; ob != nil {
+			ob.Reset()
+		}
 	}
 	n.cm.reset()
 	n.Start()
